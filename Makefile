@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: verify build fmtcheck vet test race benchsmoke bench benchfull chaos crash fuzzsmoke
+.PHONY: verify build fmtcheck vet test race benchsmoke benchcheck bench benchfull chaos crash fuzzsmoke
 
 # Tier-1 verification: everything must be green before a merge.
-verify: build fmtcheck vet test race benchsmoke chaos crash fuzzsmoke
+verify: build fmtcheck vet test race benchsmoke benchcheck chaos crash fuzzsmoke
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,7 @@ test:
 # along so the allocation guards are also exercised with the race
 # runtime's different allocator behaviour.
 race:
-	$(GO) test -race ./internal/core/... ./internal/mesh ./internal/upcall/... ./internal/wire ./internal/rpc ./internal/ruc ./internal/task
+	$(GO) test -race ./internal/core/... ./internal/mesh ./internal/upcall/... ./internal/wire ./internal/rpc ./internal/ruc ./internal/task ./internal/invoke ./internal/xdr
 
 # Fault-injection and resurrection tests, twice under the race detector:
 # scripted link kills, flap schedules, session resumes and chain healing
@@ -52,6 +52,22 @@ benchsmoke:
 	$(GO) run ./cmd/clambench -transport -transport-iters 100
 	$(GO) run ./cmd/clambench -overload -overload-dur 300ms
 
+# The program BENCHMARK.json names, run for real but briefly: vet it, then
+# five one-second segments of each gated workload. Its exit status is the
+# benchmark's own correctness verdict (every sample and every instance's
+# totals are verified), so a change that breaks what bench/ compiles
+# against, or makes a workload answer wrongly, fails here and not first in
+# the acceptance driver. The numbers land in bench-artifacts/bench.jsonl;
+# five seconds is a smoke run, not a measurement.
+BENCH_GATED = call_unix upcall_unix async_batch
+benchcheck:
+	$(GO) vet ./bench
+	@mkdir -p bench-artifacts && rm -f bench-artifacts/bench.jsonl
+	@for w in $(BENCH_GATED); do \
+		echo "bench: $$w"; \
+		$(GO) run ./bench -workload $$w -seconds 5 -out bench-artifacts/bench.jsonl >/dev/null || exit 1; \
+	done
+
 # Reproducible bench pipeline: regenerates BENCH_3.json (Fig 5.1 suite,
 # pooling ablation and the dispatch-throughput matrix, with the embedded
 # pre-change baselines for comparison), BENCH_4.json (the fan-out matrix,
@@ -73,10 +89,13 @@ bench:
 benchfull:
 	$(GO) test -bench=. -benchmem
 
-# Short coverage-guided fuzzing of the wire parsers a hostile peer can
-# reach pre-session: the frame header and the MsgCancel body. A few
-# seconds each is enough to catch parser regressions in CI; run
-# `go test -fuzz FuzzFrameHeader ./internal/wire` for a real campaign.
+# Short coverage-guided fuzzing of the parsers a hostile peer can reach:
+# the frame header and the MsgCancel body (pre-session), and the MsgCall
+# body — batch count, in-place call headers, method-name views, argument
+# decode — through the real dispatcher. A few seconds each is enough to
+# catch parser regressions in CI; run `go test -fuzz FuzzFrameHeader
+# ./internal/wire` for a real campaign.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameHeader' -fuzztime 5s ./internal/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzCancelBody' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz 'FuzzCallBatch' -fuzztime 5s ./internal/core

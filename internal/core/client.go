@@ -14,6 +14,7 @@ import (
 
 	"clam/internal/bundle"
 	"clam/internal/handle"
+	"clam/internal/invoke"
 	"clam/internal/rpc"
 	"clam/internal/shm"
 	"clam/internal/task"
@@ -57,7 +58,7 @@ type Client struct {
 	reconnOnResult func(ok bool)
 
 	procMu   sync.Mutex
-	procs    map[uint64]reflect.Value
+	procs    map[uint64]*clientProc
 	nextProc uint64
 
 	// bctx is the client's bundling context, built once: the hooks are
@@ -297,7 +298,7 @@ func Dial(network, addr string, opts ...DialOption) (*Client, error) {
 		dialFn:       cfg.dial,
 		resumeToken:  hr.Token,
 		resumeWindow: time.Duration(hr.WindowNanos),
-		procs:        make(map[uint64]reflect.Value),
+		procs:        make(map[uint64]*clientProc),
 	}
 	c.bctx = bundle.Ctx{
 		Objects: (*clientObjectHook)(c),
@@ -809,23 +810,24 @@ func (c *Client) handleUpcall(msg *wire.Msg) {
 		return
 	}
 	c.procMu.Lock()
-	fn, ok := c.procs[hdr.ProcID]
+	proc, ok := c.procs[hdr.ProcID]
 	c.procMu.Unlock()
 	if !ok {
 		replyErr(fmt.Errorf("clam: upcall to unknown procedure %d", hdr.ProcID))
 		return
 	}
 	ctx := c.ctx()
-	args, err := rpc.DecodeFuncArgs(c.reg, ctx, dec, fn.Type())
-	if err != nil {
+	f := proc.plan.Frame()
+	defer f.Release()
+	if err := rpc.DecodeFuncArgs(c.reg, ctx, dec, f.Args()); err != nil {
 		replyErr(err)
 		return
 	}
 
-	rets, appErr := c.invokeHandler(fn, args)
+	rets, appErr := proc.invoke(f)
 
 	// The decode is complete, so the workspace can carry the reply.
-	if err := rpc.EncodeFuncResults(c.reg, ctx, sc.Encoder(), fn.Type(), rets, appErr); err != nil {
+	if err := rpc.EncodeFuncResults(c.reg, ctx, sc.Encoder(), rets, appErr); err != nil {
 		replyErr(err)
 		return
 	}
@@ -834,23 +836,24 @@ func (c *Client) handleUpcall(msg *wire.Msg) {
 	}
 }
 
-// invokeHandler runs a registered upcall procedure, converting a panic
-// into an application error so a buggy handler does not kill the upcall
-// task.
-func (c *Client) invokeHandler(fn reflect.Value, args []reflect.Value) (rets []reflect.Value, appErr error) {
+// clientProc is a local procedure registered for upcalls, with the call
+// plan compiled from its type when it was registered.
+type clientProc struct {
+	fn   reflect.Value
+	plan *invoke.Plan
+}
+
+// invoke runs the procedure on the arguments decoded into f, converting a
+// panic into an application error so a buggy handler does not kill the
+// upcall task.
+func (p *clientProc) invoke(f *invoke.Frame) (rets []reflect.Value, appErr error) {
 	defer func() {
 		if r := recover(); r != nil {
 			appErr = fmt.Errorf("clam: upcall handler panicked: %v", r)
 			rets = nil
 		}
 	}()
-	out := fn.Call(args)
-	if n := len(out); n > 0 && fn.Type().Out(n-1) == reflect.TypeOf((*error)(nil)).Elem() {
-		if !out[n-1].IsNil() {
-			appErr = out[n-1].Interface().(error)
-		}
-	}
-	return out, appErr
+	return f.Call(p.fn)
 }
 
 // registerProc assigns an identifier to a local procedure so it can travel
@@ -861,7 +864,7 @@ func (c *Client) registerProc(fn reflect.Value) uint64 {
 	c.procMu.Lock()
 	defer c.procMu.Unlock()
 	c.nextProc++
-	c.procs[c.nextProc] = fn
+	c.procs[c.nextProc] = &clientProc{fn: fn, plan: invoke.Compile(fn.Type(), 0)}
 	return c.nextProc
 }
 

@@ -174,9 +174,11 @@ type executor struct {
 	peak    int    // high-water mark of running
 	stalls  uint64 // handler blocks that released a worker slot
 
-	// bound maps worker goroutine id → its current item, the same
-	// discipline as the task package's current-task registry; boundN gates
-	// the stack parse off every path when no executor work is live.
+	// bound maps worker goroutine id → the worker's cell, the same
+	// discipline as the task package's current-task registry: the cell is
+	// installed once when the worker starts, and binding an item is a plain
+	// store into it (a sync.Map store per item would allocate). boundN
+	// gates the stack parse off every path when no executor work is live.
 	bound  sync.Map
 	boundN atomic.Int64
 
@@ -331,7 +333,11 @@ func (x *executor) completeLocked(it *dispatchItem) {
 // objects genuinely run in parallel.
 func (x *executor) worker() {
 	defer x.wg.Done()
+	// cell holds the item this worker is executing. Only this goroutine
+	// reads it (currentItem looks a cell up by its own goroutine id).
+	cell := new(*dispatchItem)
 	gid := task.GoID()
+	x.bound.Store(gid, cell)
 	defer x.bound.Delete(gid)
 	x.mu.Lock()
 	for {
@@ -364,11 +370,11 @@ func (x *executor) worker() {
 		}
 		x.mu.Unlock()
 
-		x.bound.Store(gid, it)
+		*cell = it
 		x.boundN.Add(1)
 		it.sess.execMsg(it.msg) // releases the message
 		it.msg = nil
-		x.bound.Store(gid, (*dispatchItem)(nil))
+		*cell = nil
 		x.boundN.Add(-1)
 
 		x.finish(it)
@@ -406,9 +412,7 @@ func (x *executor) currentItem() *dispatchItem {
 		return nil
 	}
 	if v, ok := x.bound.Load(task.GoID()); ok {
-		if it, _ := v.(*dispatchItem); it != nil {
-			return it
-		}
+		return *v.(**dispatchItem)
 	}
 	return nil
 }

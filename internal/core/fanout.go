@@ -37,6 +37,7 @@ import (
 	"sync"
 
 	"clam/internal/dynload"
+	"clam/internal/invoke"
 	"clam/internal/ruc"
 	"clam/internal/upcall"
 )
@@ -225,7 +226,7 @@ func (s *Server) SubscribeFunc(topic string, fn any) (uint64, error) {
 			return 0, fmt.Errorf("clam: subscriber %s does not match topic prototype %s", vt, t.ft)
 		}
 	}
-	return s.fan.subscribe(topic, 0, 0, &localCaller{fn: v}, false)
+	return s.fan.subscribe(topic, 0, 0, &localCaller{fn: v, plan: invoke.Compile(vt, 0)}, false)
 }
 
 // UnsubscribeFunc cancels a SubscribeFunc subscription, reporting whether
@@ -238,7 +239,10 @@ func (s *Server) UnsubscribeFunc(topic string, id uint64) bool {
 
 // localCaller delivers fan-out events to a server-local subscriber by
 // direct call, the degenerate single-address-space case of ruc.Caller.
-type localCaller struct{ fn reflect.Value }
+type localCaller struct {
+	fn   reflect.Value
+	plan *invoke.Plan
+}
 
 func (l *localCaller) Upcall(procID uint64, ft reflect.Type, args []reflect.Value) (rets []reflect.Value, err error) {
 	defer func() {
@@ -246,13 +250,10 @@ func (l *localCaller) Upcall(procID uint64, ft reflect.Type, args []reflect.Valu
 			err = fmt.Errorf("clam: local subscriber panicked: %v", r)
 		}
 	}()
-	out := l.fn.Call(args)
-	if n := len(out); n > 0 {
-		if e, ok := out[n-1].Interface().(error); ok && e != nil {
-			return nil, e
-		}
-	}
-	return out, nil
+	f := l.plan.Frame()
+	defer f.Release()
+	f.Set(args)
+	return f.Call(l.fn)
 }
 
 func (f *fanoutState) topic(name string) *fanoutTopic {

@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"clam/internal/bundle"
+	"clam/internal/rpc"
 	"clam/internal/wire"
 )
 
@@ -429,6 +432,15 @@ func TestClientHeartbeatDetectsUnresponsiveServer(t *testing.T) {
 
 func TestMetricsConcurrentCounting(t *testing.T) {
 	m := newMetrics()
+	cs, err := rpc.CompileClass(bundle.NewRegistry(), reflect.TypeOf(&counter{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.Class = "counter"
+	add, err := cs.Method("Add")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {
@@ -436,13 +448,14 @@ func TestMetricsConcurrentCounting(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				m.countCall("counter", "Add", i%2 == 0)
+				add.Calls.Add(1)
+				m.countCall(i%2 == 0)
 				m.countBatch()
 			}
 		}(w)
 	}
 	wg.Wait()
-	srv := &Server{metrics: m}
+	srv := &Server{metrics: m, stubs: map[uint32]*rpc.ClassStubs{1: cs}}
 	snap := srv.Metrics()
 	if got := snap.Calls["counter.Add"]; got != workers*per {
 		t.Errorf("counter.Add = %d, want %d", got, workers*per)

@@ -224,17 +224,18 @@ func (sess *session) execForward(dec *xdr.Stream, hdr *rpc.CallHeader, pr *Remot
 	// the relay ties up a round trip on the lower server.
 	if hdr.Seq != 0 && sess.takeCancel(hdr.Seq) {
 		srv.metrics.shedCancelled.Add(1)
-		sess.shedCall(hdr, "cancelled by caller")
+		sess.fail(hdr.Seq, "", hdr.Method, rpc.StatusDeadline, "cancelled by caller")
 		return
 	}
 	if hdr.Budget != 0 && srv.shedExpired() && budgetSpent(hdr.Budget, arrived) {
 		srv.metrics.shedExpired.Add(1)
-		sess.shedCall(hdr, "deadline budget spent before relay")
+		sess.fail(hdr.Seq, "", hdr.Method, rpc.StatusDeadline, "deadline budget spent before relay")
 		return
 	}
 
 	srv.metrics.countRelayedCall()
-	srv.metrics.countCall(pc.name, hdr.Method, hdr.Seq != 0)
+	srv.metrics.countCall(hdr.Seq != 0)
+	stub.Calls.Add(1)
 
 	if hdr.Seq == 0 {
 		// Asynchronous: relay asynchronously, keeping §3.4's batching

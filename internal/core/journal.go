@@ -125,21 +125,21 @@ func (s *Server) recoverFromJournal() {
 	for _, id := range sortedIDs(st.Handles) {
 		hs := st.Handles[id]
 		var obj any
-		var classID, version uint32
+		var loaded *dynload.Loaded
 		if name, named := nameByID[id]; named {
 			o, ok := s.Named(name)
 			if !ok {
 				s.logf("clam: journal: handle %d was named %q, which is not re-registered; skipping", id, name)
 				continue
 			}
-			loaded, err := s.loader.ByType(reflect.TypeOf(o))
+			l, err := s.loader.ByType(reflect.TypeOf(o))
 			if err != nil {
 				s.logf("clam: journal: named object %q has no loaded class: %v; skipping handle %d", name, err, id)
 				continue
 			}
-			obj, classID, version = o, loaded.ID, loaded.Version
+			obj, loaded = o, l
 		} else {
-			loaded, err := s.LoadExact(hs.Class, hs.Version)
+			l, err := s.LoadExact(hs.Class, hs.Version)
 			if err != nil {
 				s.logf("clam: journal: class %s v%d for handle %d not loadable: %v; skipping", hs.Class, hs.Version, id, err)
 				continue
@@ -147,16 +147,21 @@ func (s *Server) recoverFromJournal() {
 			env := &Env{Server: s, SessionID: hs.Session}
 			gerr := dynload.Guard(func() error {
 				var nerr error
-				obj, nerr = loaded.New(env)
+				obj, nerr = l.New(env)
 				return nerr
 			})
 			if gerr != nil {
 				s.logf("clam: journal: re-instantiating %s for handle %d: %v; skipping", hs.Class, id, gerr)
 				continue
 			}
-			classID, version = loaded.ID, loaded.Version
+			loaded = l
 		}
-		s.handles.Restore(handle.Handle{ID: handle.ID(id), Tag: handle.Tag(hs.Tag)}, classID, version, obj)
+		stubs, err := s.ensureStubs(loaded)
+		if err != nil {
+			s.logf("clam: journal: %v; skipping handle %d", err, id)
+			continue
+		}
+		s.handles.Restore(handle.Handle{ID: handle.ID(id), Tag: handle.Tag(hs.Tag)}, loaded.ID, loaded.Version, obj, stubs)
 		s.recov.handles.Add(1)
 	}
 
@@ -284,7 +289,11 @@ func (s *Server) journalEndSession(sess *session) {
 // journaled: their *Remote rebuilds through the forwarding layer's own
 // resurrect path, not from this server's log.)
 func (s *Server) putHandle(obj any, loaded *dynload.Loaded, sessID uint64) (handle.Handle, error) {
-	h, isNew, err := s.handles.PutNew(obj, loaded.ID, loaded.Version)
+	stubs, err := s.ensureStubs(loaded)
+	if err != nil {
+		return handle.Nil, err
+	}
+	h, isNew, err := s.handles.PutNew(obj, loaded.ID, loaded.Version, stubs)
 	if err != nil || !isNew || s.journal == nil {
 		return h, err
 	}

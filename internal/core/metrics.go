@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,25 +16,9 @@ import (
 // updated on the dispatch paths and snapshotted on demand — clamd exposes
 // them and tests assert against them.
 //
-// Scalar counters are atomics and the per-method map is sharded by a
-// string hash, so counting on the hot dispatch path never funnels every
-// session through one mutex.
-
-// callShards is the number of per-method map shards; a power of two so
-// the hash can be masked.
-const callShards = 16
-
-// callKey identifies one method without materializing the "class.Method"
-// string on the dispatch path — the concatenation is deferred to snapshot
-// time, keeping countCall allocation-free.
-type callKey struct {
-	class, method string
-}
-
-type callShard struct {
-	mu sync.Mutex
-	m  map[callKey]uint64
-}
+// Every counter is an atomic; the per-method dispatch counts live on the
+// compiled method stubs themselves (rpc.MethodStub.Calls), which the
+// dispatcher has in hand anyway, and are gathered at snapshot time.
 
 // metrics is the live counter set. Link-level counters (heartbeats,
 // retries, timeouts) live in the shared linkCounters struct the endpoint
@@ -126,33 +109,12 @@ type metrics struct {
 	svcTime       atomic.Int64
 
 	link linkCounters
-
-	shards [callShards]callShard
 }
 
-func newMetrics() *metrics {
-	m := &metrics{}
-	for i := range m.shards {
-		m.shards[i].m = make(map[callKey]uint64)
-	}
-	return m
-}
+func newMetrics() *metrics { return &metrics{} }
 
-// fnv1a is the 32-bit FNV-1a hash, inlined to keep countCall allocation-free.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func (m *metrics) countCall(class, method string, sync bool) {
-	sh := &m.shards[(fnv1a(class)^fnv1a(method))&(callShards-1)]
-	sh.mu.Lock()
-	sh.m[callKey{class, method}]++
-	sh.mu.Unlock()
+// countCall splits dispatches by reply expectation.
+func (m *metrics) countCall(sync bool) {
 	if sync {
 		m.syncCalls.Add(1)
 	} else {
@@ -480,15 +442,14 @@ func (s MetricsSnapshot) TopCalls(n int) []string {
 // Metrics snapshots the server's counters.
 func (s *Server) Metrics() MetricsSnapshot {
 	m := s.metrics
+	s.mu.Lock()
+	links := make([]*peerLink, len(s.peers))
+	copy(links, s.peers)
 	calls := make(map[string]uint64)
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.m {
-			calls[k.class+"."+k.method] = v
-		}
-		sh.mu.Unlock()
+	for _, cs := range s.stubs {
+		cs.AddCalls(calls)
 	}
+	s.mu.Unlock()
 	snap := MetricsSnapshot{
 		Calls:            calls,
 		SyncCalls:        m.syncCalls.Load(),
@@ -536,13 +497,16 @@ func (s *Server) Metrics() MetricsSnapshot {
 		HandlerCancels:      m.handlerCancels.Load(),
 		QueueDelayEWMANanos: uint64(m.queueDelay.Load()),
 	}
-	s.mu.Lock()
-	links := make([]*peerLink, len(s.peers))
-	copy(links, s.peers)
-	s.mu.Unlock()
 	for _, pl := range links {
 		snap.Resilience.foldLink(pl.c.link, pl.br)
 		snap.Overload.CancelsPropagated += pl.c.link.cancels.Load()
+		// Calls relayed on proxy handles are counted on the proxy class's
+		// stubs, per peer link.
+		pl.mu.Lock()
+		for _, pc := range pl.classes {
+			pc.stubs.AddCalls(calls)
+		}
+		pl.mu.Unlock()
 	}
 	if ms := s.meshSnapshot(); ms != nil {
 		snap.Mesh = *ms

@@ -281,6 +281,7 @@ func (s *Server) proxyClassFor(pl *peerLink, classID, version uint32) (*proxyCla
 	if err != nil {
 		return nil, fmt.Errorf("clam: compiling proxy stubs for %q: %w", name, err)
 	}
+	stubs.Class = name
 	pc := &proxyClass{name: name, version: version, stubs: stubs}
 	pl.mu.Lock()
 	if prev, ok := pl.classes[classID]; ok {

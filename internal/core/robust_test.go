@@ -73,12 +73,14 @@ func TestClientSurvivesRandomUpcallBodies(t *testing.T) {
 	}
 	defer ln.Close()
 	go func() {
-		rng := rand.New(rand.NewPCG(3, 9))
-		for {
+		for n := uint64(0); ; n++ {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			// One generator per connection: a client dials two channels, and
+			// a shared rand.Rand is a data race between their goroutines.
+			rng := rand.New(rand.NewPCG(3, 9+n))
 			go func(conn net.Conn) {
 				wc := wire.NewConn(conn)
 				msg, err := wc.Recv()

@@ -389,23 +389,48 @@ func (s *Server) Load(name string, minVersion uint32) (*dynload.Loaded, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ensureStubs(loaded); err != nil {
+	if _, err := s.ensureStubs(loaded); err != nil {
 		return nil, err
 	}
 	return loaded, nil
 }
 
-func (s *Server) ensureStubs(loaded *dynload.Loaded) error {
+// ensureStubs returns the class's compiled stubs, compiling them on first
+// sight. Every handle minted for the class carries them (putHandle), which
+// is what lets a call resolve handle, class and stubs in one table lookup.
+func (s *Server) ensureStubs(loaded *dynload.Loaded) (*rpc.ClassStubs, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.stubs[loaded.ID]; ok {
-		return nil
+	if cs, ok := s.stubs[loaded.ID]; ok {
+		return cs, nil
 	}
 	cs, err := rpc.CompileClass(s.reg, loaded.Type, loaded.Specs)
 	if err != nil {
-		return fmt.Errorf("clam: compiling stubs for %s v%d: %w", loaded.Name, loaded.Version, err)
+		return nil, fmt.Errorf("clam: compiling stubs for %s v%d: %w", loaded.Name, loaded.Version, err)
 	}
+	cs.Class = loaded.Name
 	s.stubs[loaded.ID] = cs
+	return cs, nil
+}
+
+// unload removes a loaded class version and retires its stubs, so the
+// objects that still carry them stop dispatching. The retired stubs stay in
+// s.stubs: their call counts remain part of Metrics.
+func (s *Server) unload(name string, version uint32) error {
+	var id uint32
+	for _, l := range s.loader.LoadedList() {
+		if l.Name == name && l.Version == version {
+			id = l.ID
+		}
+	}
+	if err := s.loader.Unload(name, version); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	if cs := s.stubs[id]; cs != nil {
+		cs.Retire()
+	}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -416,17 +441,10 @@ func (s *Server) LoadExact(name string, version uint32) (*dynload.Loaded, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ensureStubs(loaded); err != nil {
+	if _, err := s.ensureStubs(loaded); err != nil {
 		return nil, err
 	}
 	return loaded, nil
-}
-
-func (s *Server) stubsFor(classID uint32) (*rpc.ClassStubs, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cs, ok := s.stubs[classID]
-	return cs, ok
 }
 
 // CreateInstance loads (if needed) and instantiates a class server-side,

@@ -782,35 +782,41 @@ func (sess *session) execBatch(msg *wire.Msg) {
 	sc := rpc.GetScratch()
 	defer sc.Release()
 	dec := sc.Decoder(msg.Body)
-	var count int
-	if err := dec.Len(&count); err != nil {
+	count, err := rpc.DecodeBatchCount(dec)
+	if err != nil {
 		sess.srv.logf("clam: session %d: bad call batch: %v", sess.id, err)
 		return
 	}
-	if count > rpc.MaxBatch {
-		sess.srv.logf("clam: session %d: oversized batch %d", sess.id, count)
-		return
-	}
 	for i := 0; i < count; i++ {
+		// The header is decoded in place: method is a view into msg.Body,
+		// good until the frame is released after the batch.
 		var hdr rpc.CallHeader
-		if err := hdr.Bundle(dec); err != nil {
+		method, err := hdr.DecodeInPlace(dec)
+		if err != nil {
 			sess.srv.logf("clam: session %d: bad call header: %v", sess.id, err)
 			return
 		}
-		sess.execCall(dec, &hdr, arrived, count == 1)
+		sess.execCall(dec, &hdr, method, arrived, count == 1)
+		if dec.Err() != nil {
+			// execCall could not decode the call and poisoned the stream:
+			// what follows in the body is not a call header. The caller has
+			// its answer; the rest of the batch is dropped.
+			return
+		}
 	}
 }
 
-// shedCall answers a call that is being refused without execution: a
-// StatusDeadline reply for synchronous calls, a fault report for
-// asynchronous ones (which have no reply to carry the refusal — the same
-// §4.3 channel the mesh's decode-then-refuse discipline uses).
-func (sess *session) shedCall(hdr *rpc.CallHeader, why string) {
-	if hdr.Seq == 0 {
-		sess.reportFault("", hdr.Method, why)
-		return
+// fail answers a call that produced no results. A synchronous call gets a
+// bare status reply. An asynchronous one has no reply to carry the news, so
+// faults, dispatch failures and refusals are reported with an error upcall
+// (§4.3) rather than silently swallowed; its own application error is not.
+func (sess *session) fail(seq uint64, class, method string, status rpc.Status, msg string) {
+	switch {
+	case seq != 0:
+		sess.replyStatus(seq, status, msg)
+	case status != rpc.StatusAppError:
+		sess.reportFault(class, method, msg)
 	}
-	sess.replyStatus(hdr.Seq, rpc.StatusDeadline, why)
 }
 
 // shedEarly decides, before any argument decoding, whether a sole-call
@@ -819,15 +825,15 @@ func (sess *session) shedCall(hdr *rpc.CallHeader, why string) {
 // the call in the frame — mid-batch, refusal happens after the arguments
 // are decoded so the stream stays aligned (§3.4 order is preserved either
 // way: the shed call's slot still produces its reply in sequence).
-func (sess *session) shedEarly(hdr *rpc.CallHeader, arrived int64) bool {
+func (sess *session) shedEarly(hdr *rpc.CallHeader, method []byte, arrived int64) bool {
 	if hdr.Seq != 0 && sess.takeCancel(hdr.Seq) {
 		sess.srv.metrics.shedCancelled.Add(1)
-		sess.shedCall(hdr, "cancelled by caller")
+		sess.fail(hdr.Seq, "", string(method), rpc.StatusDeadline, "cancelled by caller")
 		return true
 	}
 	if hdr.Budget != 0 && sess.srv.shedExpired() && budgetSpent(hdr.Budget, arrived) {
 		sess.srv.metrics.shedExpired.Add(1)
-		sess.shedCall(hdr, "deadline budget spent before dispatch")
+		sess.fail(hdr.Seq, "", string(method), rpc.StatusDeadline, "deadline budget spent before dispatch")
 		return true
 	}
 	return false
@@ -877,155 +883,140 @@ func (sess *session) admitCall(msg *wire.Msg) bool {
 	return true
 }
 
-// execCall decodes, runs and answers a single call. arrived is the
-// UnixNano arrival time of the carrying frame (the anchor for hdr.Budget);
-// sole marks a single-call frame, where shedding may skip decoding.
-func (sess *session) execCall(dec *xdr.Stream, hdr *rpc.CallHeader, arrived int64, sole bool) {
+// execCall decodes, runs and answers a single call. method is the call's
+// name as a view into the frame body. arrived is the UnixNano arrival time
+// of the carrying frame (the anchor for hdr.Budget); sole marks a
+// single-call frame, where shedding may skip decoding. A call whose
+// arguments cannot be decoded poisons dec: the bytes after it are not a
+// call header, so the rest of its batch goes with it.
+func (sess *session) execCall(dec *xdr.Stream, hdr *rpc.CallHeader, method []byte, arrived int64, sole bool) {
+	srv := sess.srv
 	if hdr.Budget != 0 {
-		sess.srv.metrics.budgetedCalls.Add(1)
+		srv.metrics.budgetedCalls.Add(1)
 	}
-	if sole && sess.shedEarly(hdr, arrived) {
+	if sole && sess.shedEarly(hdr, method, arrived) {
 		return
 	}
-	ctx := sess.ctx()
-	status, errMsg, className := rpc.StatusOK, "", ""
 
-	var stub *rpc.MethodStub
-	var recv reflect.Value
-	var args []reflect.Value
-
-	entry, err := sess.srv.handles.Entry(hdr.Obj)
-	if err != nil {
-		status, errMsg = rpc.StatusDispatch, err.Error()
-	} else if pr, ok := entry.Obj.(*Remote); ok {
+	// One lookup resolves the call: the handle-table entry carries the
+	// object and the compiled stubs of its class.
+	entry, err := srv.handles.Entry(hdr.Obj)
+	if pr, ok := entry.Obj.(*Remote); ok {
 		// A proxy entry: the object lives on a lower server this server
 		// dialed. Relay the call down instead of invoking locally.
+		hdr.Method = string(method)
 		sess.execForward(dec, hdr, pr, entry, arrived)
 		return
-	} else {
-		loaded, lerr := sess.srv.loader.Get(entry.ClassID)
-		if lerr != nil {
-			status, errMsg = rpc.StatusDispatch, lerr.Error()
+	}
+	var stub *rpc.MethodStub
+	className := ""
+	if err == nil {
+		if cs, _ := entry.Dispatch.(*rpc.ClassStubs); cs == nil || cs.Retired() {
+			err = fmt.Errorf("clam: class %d is not loaded", entry.ClassID)
 		} else {
-			className = loaded.Name
-			cs, ok := sess.srv.stubsFor(entry.ClassID)
-			if !ok {
-				status, errMsg = rpc.StatusDispatch, fmt.Sprintf("clam: class %d has no stubs", entry.ClassID)
-			} else if stub, err = cs.Method(hdr.Method); err != nil {
-				stub = nil
-				status, errMsg = rpc.StatusDispatch, err.Error()
-			} else {
-				recv = reflect.ValueOf(entry.Obj)
-			}
+			className = cs.Class
+			srv.metrics.countCall(hdr.Seq != 0)
+			stub, err = cs.Lookup(method)
 		}
 	}
-
-	if stub != nil {
-		args, err = stub.DecodeArgs(ctx, dec)
-		if err != nil {
-			// The stream is now desynchronized; the rest of the batch
-			// cannot be trusted, but the caller deserves an answer.
-			status, errMsg = rpc.StatusDispatch, err.Error()
-			stub = nil
-		}
-	} else {
-		// Cannot decode the arguments without a stub; the remainder of
-		// the batch is lost. Report and bail via sticky stream error.
-		dec.SetErr(fmt.Errorf("clam: undecodable call %s", hdr.Method))
-	}
-
-	if className != "" {
-		sess.srv.metrics.countCall(className, hdr.Method, hdr.Seq != 0)
-	}
-	var rets []reflect.Value
-	if stub != nil {
-		// Arguments are decoded; now (and only now, mid-batch) the call can
-		// be refused without desynchronizing the stream: consume a cancel
-		// the caller sent while it queued, then re-check the budget.
-		var callCtx context.Context
-		var cancel context.CancelFunc
-		switch {
-		case hdr.Seq != 0 && sess.takeCancel(hdr.Seq):
-			sess.srv.metrics.shedCancelled.Add(1)
-			status, errMsg = rpc.StatusDeadline, "cancelled by caller"
-		case hdr.Budget != 0 && sess.srv.shedExpired() && budgetSpent(hdr.Budget, arrived):
-			sess.srv.metrics.shedExpired.Add(1)
-			status, errMsg = rpc.StatusDeadline, "deadline budget spent before dispatch"
-		case hdr.Budget != 0:
-			// The handler runs under a real deadline anchored at frame
-			// arrival; a MsgCancel arriving mid-run cancels it through
-			// registerLive. Deferred cleanup runs after the status mapping
-			// below, which reads the context's error first.
-			deadline := time.Unix(0, arrived).Add(time.Duration(hdr.Budget) * time.Microsecond)
-			callCtx, cancel = context.WithDeadline(context.Background(), deadline)
-			defer cancel()
-			if hdr.Seq != 0 {
-				sess.registerLive(hdr.Seq, cancel)
-				defer sess.unregisterLive(hdr.Seq)
-			}
-		}
-		if status == rpc.StatusOK {
-			gerr := dynload.Guard(func() error {
-				var appErr error
-				rets, appErr = stub.Invoke(callCtx, recv, args)
-				return appErr
-			})
-			var ctxErr error
-			if callCtx != nil {
-				ctxErr = callCtx.Err() // read before the deferred cancel()
-			}
-			var fault *dynload.Fault
-			switch {
-			case gerr == nil:
-			case errors.As(gerr, &fault):
-				status, errMsg = rpc.StatusFault, fault.Error()
-				sess.srv.metrics.countFault()
-			case ctxErr != nil && errors.Is(gerr, ctxErr):
-				// The handler observed its context's expiry/cancel and bailed:
-				// report it as the deadline status so the caller (and any hop
-				// above) sees one consistent verdict.
-				status, errMsg = rpc.StatusDeadline, gerr.Error()
-			default:
-				status, errMsg = rpc.StatusAppError, gerr.Error()
-			}
-		}
-	}
-
-	if hdr.Seq == 0 {
-		// Asynchronous call: no reply exists, so faults and dispatch
-		// failures are reported with an error upcall (§4.3) rather than
-		// silently swallowed. Synchronous callers learn of faults from
-		// the reply status instead.
-		if status == rpc.StatusFault || status == rpc.StatusDispatch || status == rpc.StatusDeadline {
-			sess.reportFault(className, hdr.Method, errMsg)
-		}
+	if err != nil {
+		// No stub, no way to decode the arguments.
+		dec.SetErr(fmt.Errorf("clam: undecodable call %s", method))
+		sess.fail(hdr.Seq, className, string(method), rpc.StatusDispatch, err.Error())
 		return
+	}
+	stub.Calls.Add(1)
+	ctx := sess.ctx()
+	f := stub.Frame()
+	defer f.Release() // after the reply is encoded: out-parameters are read from the frame
+	if err := stub.DecodeInto(ctx, dec, f); err != nil {
+		// Kind or argc mismatch: the stream is desynchronized.
+		dec.SetErr(err)
+		sess.fail(hdr.Seq, className, string(method), rpc.StatusDispatch, err.Error())
+		return
+	}
+
+	// Arguments are decoded; now (and only now, mid-batch) the call can be
+	// refused without desynchronizing the stream: consume a cancel the
+	// caller sent while it queued, then re-check the budget.
+	var callCtx context.Context
+	switch {
+	case hdr.Seq != 0 && sess.takeCancel(hdr.Seq):
+		srv.metrics.shedCancelled.Add(1)
+		sess.fail(hdr.Seq, className, string(method), rpc.StatusDeadline, "cancelled by caller")
+		return
+	case hdr.Budget != 0 && srv.shedExpired() && budgetSpent(hdr.Budget, arrived):
+		srv.metrics.shedExpired.Add(1)
+		sess.fail(hdr.Seq, className, string(method), rpc.StatusDeadline, "deadline budget spent before dispatch")
+		return
+	case hdr.Budget != 0:
+		// The handler runs under a real deadline anchored at frame arrival;
+		// a MsgCancel arriving mid-run cancels it through registerLive.
+		// The deferred cleanup runs after callFailure has read the
+		// context's error.
+		deadline := time.Unix(0, arrived).Add(time.Duration(hdr.Budget) * time.Microsecond)
+		var cancel context.CancelFunc
+		callCtx, cancel = context.WithDeadline(context.Background(), deadline)
+		defer cancel()
+		if hdr.Seq != 0 {
+			sess.registerLive(hdr.Seq, cancel)
+			defer sess.unregisterLive(hdr.Seq)
+		}
+	}
+
+	var rets []reflect.Value
+	recv := reflect.ValueOf(entry.Obj)
+	gerr := dynload.Guard(func() error {
+		var appErr error
+		rets, appErr = stub.Call(callCtx, recv, f)
+		return appErr
+	})
+	if gerr != nil {
+		status, msg := srv.callFailure(gerr, callCtx)
+		sess.fail(hdr.Seq, className, string(method), status, msg)
+		return
+	}
+	if hdr.Seq == 0 {
+		return // asynchronous: no reply exists
 	}
 
 	// The reply is encoded into its own scratch — the batch decoder (dec)
-	// is mid-stream and its workspace cannot be shared. queueReply() copies
-	// the body toward the kernel before returning, so releasing right after
-	// is safe.
+	// is mid-stream and its workspace cannot be shared. queueReplyFrame
+	// copies the body toward the kernel before returning, so releasing
+	// right after is safe.
 	rsc := rpc.GetScratch()
 	defer rsc.Release()
 	enc := rsc.Encoder()
-	rh := rpc.ReplyHeader{Status: status, ErrMsg: errMsg}
+	rh := rpc.ReplyHeader{}
 	if err := rh.Bundle(enc); err != nil {
-		sess.srv.logf("clam: session %d: encoding reply header: %v", sess.id, err)
+		srv.logf("clam: session %d: encoding reply header: %v", sess.id, err)
 		return
 	}
-	if status == rpc.StatusOK {
-		if err := stub.EncodeReplyPayload(ctx, enc, args, rets); err != nil {
-			// Fall back to a dispatch error so the client is not left
-			// waiting on a half-encoded reply.
-			enc = rsc.Encoder()
-			rh = rpc.ReplyHeader{Status: rpc.StatusDispatch, ErrMsg: err.Error()}
-			if err := rh.Bundle(enc); err != nil {
-				return
-			}
-		}
+	if err := stub.EncodeReplyPayload(ctx, enc, f.Args(), rets); err != nil {
+		// A dispatch error, so the client is not left waiting on a
+		// half-encoded reply.
+		sess.replyStatus(hdr.Seq, rpc.StatusDispatch, err.Error())
+		return
 	}
 	sess.queueReplyFrame(wire.MsgReply, hdr.Seq, rsc.Bytes())
+}
+
+// callFailure maps what a handler returned, or the fault it died of, to the
+// status its caller sees. Kept off execCall's success path: errors.As makes
+// its target escape.
+func (s *Server) callFailure(gerr error, callCtx context.Context) (rpc.Status, string) {
+	var fault *dynload.Fault
+	if errors.As(gerr, &fault) {
+		s.metrics.countFault()
+		return rpc.StatusFault, fault.Error()
+	}
+	if callCtx != nil && callCtx.Err() != nil && errors.Is(gerr, callCtx.Err()) {
+		// The handler observed its context's expiry/cancel and bailed:
+		// report it as the deadline status so the caller (and any hop above)
+		// sees one consistent verdict.
+		return rpc.StatusDeadline, gerr.Error()
+	}
+	return rpc.StatusAppError, gerr.Error()
 }
 
 // --- load protocol --------------------------------------------------------
@@ -1084,7 +1075,7 @@ func (sess *session) execLoad(msg *wire.Msg) {
 		reply.Name = loaded.Name
 		reply.Obj = h
 	case loadOpUnload:
-		if err := sess.srv.loader.Unload(req.Name, req.MinVersion); err != nil {
+		if err := sess.srv.unload(req.Name, req.MinVersion); err != nil {
 			reply.ErrMsg = err.Error()
 			break
 		}

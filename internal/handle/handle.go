@@ -77,6 +77,11 @@ type Entry struct {
 	Version uint32
 	Tag     Tag
 	Obj     any
+	// Dispatch is whatever the table's owner needs to dispatch a call on
+	// the object — the server keeps the class's compiled stubs here, so
+	// one lookup takes a call from handle to stub. The table only stores
+	// it; nil when the owner minted the handle without it.
+	Dispatch any
 }
 
 // Lookup errors.
@@ -122,14 +127,15 @@ func NewTable() *Table {
 // handle. Registering the same object again returns the same handle, so an
 // object passed out of the server twice compares equal on the client.
 func (t *Table) Put(obj any, classID, version uint32) (Handle, error) {
-	h, _, err := t.PutNew(obj, classID, version)
+	h, _, err := t.PutNew(obj, classID, version, nil)
 	return h, err
 }
 
-// PutNew is Put that additionally reports whether the handle was minted
-// by this call (false when obj was already registered). Callers that
-// journal mints use it to record each capability exactly once.
-func (t *Table) PutNew(obj any, classID, version uint32) (Handle, bool, error) {
+// PutNew is Put that stores dispatch in a newly minted entry and reports
+// whether the handle was minted by this call (false when obj was already
+// registered). Callers that journal mints use it to record each capability
+// exactly once.
+func (t *Table) PutNew(obj any, classID, version uint32, dispatch any) (Handle, bool, error) {
 	if obj == nil {
 		return Nil, false, nil
 	}
@@ -150,7 +156,7 @@ func (t *Table) PutNew(obj any, classID, version uint32) (Handle, bool, error) {
 	if tag == 0 {
 		tag = 1 // tag 0 is reserved for the nil handle
 	}
-	t.entries[id] = &Entry{ClassID: classID, Version: version, Tag: tag, Obj: obj}
+	t.entries[id] = &Entry{ClassID: classID, Version: version, Tag: tag, Obj: obj, Dispatch: dispatch}
 	t.byObj[obj] = id
 	return Handle{ID: id, Tag: tag}, true, nil
 }
@@ -161,13 +167,13 @@ func (t *Table) PutNew(obj any, classID, version uint32) (Handle, bool, error) {
 // another ID the byObj mapping keeps the existing one (later Puts keep
 // returning it); the restored entry still validates the old capability.
 // The id allocator is advanced past h.ID so new mints never collide.
-func (t *Table) Restore(h Handle, classID, version uint32, obj any) {
+func (t *Table) Restore(h Handle, classID, version uint32, obj, dispatch any) {
 	if h.IsNil() || obj == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entries[h.ID] = &Entry{ClassID: classID, Version: version, Tag: h.Tag, Obj: obj}
+	t.entries[h.ID] = &Entry{ClassID: classID, Version: version, Tag: h.Tag, Obj: obj, Dispatch: dispatch}
 	if _, ok := t.byObj[obj]; !ok {
 		t.byObj[obj] = h.ID
 	}

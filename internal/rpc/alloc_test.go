@@ -93,3 +93,85 @@ func TestScratchEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("value round trip: got %d, want %d", x, want)
 	}
 }
+
+type allocTarget struct{ total int64 }
+
+func (a *allocTarget) Add(x int64) { a.total += x }
+
+// The per-call path of the dispatcher — take a frame from the stub's pool,
+// decode the arguments into its cells, one reflect.Call, release — must
+// not allocate for a method like func(int64): nothing on it is built per
+// call any more.
+func TestAllocsDecodeArgsAndInvoke(t *testing.T) {
+	reg := bundle.NewRegistry()
+	ctx := &bundle.Ctx{}
+	cs, err := CompileClass(reg, reflect.TypeOf(&allocTarget{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add, err := cs.Method("Add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := GetScratch()
+	defer sc.Release()
+	if err := add.EncodeArgs(ctx, sc.Encoder(), []reflect.Value{reflect.ValueOf(int64(5))}); err != nil {
+		t.Fatal(err)
+	}
+	body := append([]byte(nil), sc.Bytes()...)
+	target := &allocTarget{}
+	recv := reflect.ValueOf(target)
+
+	call := func() {
+		f := add.Frame()
+		if err := add.DecodeInto(ctx, sc.Decoder(body), f); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := add.Call(nil, recv, f); err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	call() // warm the frame pool
+	if allocs := testing.AllocsPerRun(200, call); allocs != 0 {
+		t.Errorf("decode-args + invoke of func(int64) allocates %.1f objects/op, want 0", allocs)
+	}
+	if target.total != 5*202 {
+		t.Errorf("Add ran with wrong arguments: total %d", target.total)
+	}
+}
+
+// Decoding a call header in place and resolving its method name must not
+// build a string: the name is a view into the body, and a map lookup keyed
+// by string(view) does not allocate.
+func TestAllocsInPlaceHeaderDecode(t *testing.T) {
+	cs, err := CompileClass(bundle.NewRegistry(), reflect.TypeOf(&allocTarget{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := GetScratch()
+	defer sc.Release()
+	hdr := CallHeader{Seq: 7, Budget: 9, Method: "Add"}
+	if err := hdr.Bundle(sc.Encoder()); err != nil {
+		t.Fatal(err)
+	}
+	body := append([]byte(nil), sc.Bytes()...)
+
+	var got CallHeader
+	var stub *MethodStub
+	allocs := testing.AllocsPerRun(200, func() {
+		method, err := got.DecodeInPlace(sc.Decoder(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stub, err = cs.Lookup(method); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("in-place header decode + lookup allocates %.1f objects/op, want 0", allocs)
+	}
+	if got.Seq != 7 || got.Budget != 9 || got.Method != "" || stub.Name != "Add" {
+		t.Errorf("decoded %+v, resolved %q", got, stub.Name)
+	}
+}

@@ -93,12 +93,44 @@ type CallHeader struct {
 
 // Bundle bidirectionally transfers the header.
 func (h *CallHeader) Bundle(s *xdr.Stream) error {
-	s.Uint64(&h.Seq)
-	s.Uint64(&h.Budget)
-	if err := h.Obj.Bundle(s); err != nil {
+	if s.Op() == xdr.Decode {
+		method, err := h.DecodeInPlace(s)
+		if err == nil {
+			h.Method = string(method)
+		}
 		return err
 	}
+	h.fixed(s)
 	return s.String(&h.Method)
+}
+
+// fixed transfers the fixed-width fields that precede the method name.
+func (h *CallHeader) fixed(s *xdr.Stream) {
+	s.Uint64(&h.Seq)
+	s.Uint64(&h.Budget)
+	h.Obj.Bundle(s)
+}
+
+// DecodeInPlace decodes the header without copying the method name: it is
+// returned as a view into the frame body (valid only until the body is
+// released) and h.Method is left alone. The dispatcher resolves the view
+// with ClassStubs.Lookup, so a call costs no string unless it is forwarded.
+func (h *CallHeader) DecodeInPlace(s *xdr.Stream) (method []byte, err error) {
+	h.fixed(s)
+	return s.StringView()
+}
+
+// DecodeBatchCount reads the count word that opens a MsgCall body,
+// refusing a batch of more than MaxBatch calls.
+func DecodeBatchCount(s *xdr.Stream) (int, error) {
+	var count int
+	if err := s.Len(&count); err != nil {
+		return 0, err
+	}
+	if count > MaxBatch {
+		return 0, fmt.Errorf("%w: %d", ErrTooManyCalls, count)
+	}
+	return count, nil
 }
 
 // ReplyHeader precedes a reply's payload.
@@ -165,42 +197,28 @@ func EncodeFuncArgs(reg *bundle.Registry, ctx *bundle.Ctx, s *xdr.Stream, ft ref
 	return nil
 }
 
-// DecodeFuncArgs unbundles upcall arguments per ft's parameter types.
-func DecodeFuncArgs(reg *bundle.Registry, ctx *bundle.Ctx, s *xdr.Stream, ft reflect.Type) ([]reflect.Value, error) {
+// DecodeFuncArgs unbundles upcall arguments into args, the settable cells
+// of the procedure's call frame — one per parameter, so their types are
+// the procedure's parameter types.
+func DecodeFuncArgs(reg *bundle.Registry, ctx *bundle.Ctx, s *xdr.Stream, args []reflect.Value) error {
 	var n int
 	if err := s.Len(&n); err != nil {
-		return nil, err
+		return err
 	}
-	if n != ft.NumIn() {
-		return nil, fmt.Errorf("rpc: upcall takes %d arguments, caller sent %d", ft.NumIn(), n)
+	if n != len(args) {
+		return fmt.Errorf("rpc: upcall takes %d arguments, caller sent %d", len(args), n)
 	}
-	args := make([]reflect.Value, n)
-	for i := 0; i < n; i++ {
-		target := reflect.New(ft.In(i)).Elem()
+	for i, target := range args {
 		if err := DecodeValue(reg, ctx, s, target); err != nil {
-			return nil, fmt.Errorf("rpc: upcall argument %d: %w", i, err)
+			return fmt.Errorf("rpc: upcall argument %d: %w", i, err)
 		}
-		args[i] = target
 	}
-	return args, nil
+	return nil
 }
 
-// FuncResults splits ft's results into data results and the optional
-// trailing error.
-func FuncResults(ft reflect.Type) (data []reflect.Type, hasErr bool) {
-	n := ft.NumOut()
-	if n > 0 && ft.Out(n-1) == errType {
-		hasErr = true
-		n--
-	}
-	for i := 0; i < n; i++ {
-		data = append(data, ft.Out(i))
-	}
-	return data, hasErr
-}
-
-// EncodeFuncResults bundles an upcall's reply: status, then data results.
-func EncodeFuncResults(reg *bundle.Registry, ctx *bundle.Ctx, s *xdr.Stream, ft reflect.Type, rets []reflect.Value, appErr error) error {
+// EncodeFuncResults bundles an upcall's reply: status, then the data
+// results (rets excludes the procedure's trailing error, which is appErr).
+func EncodeFuncResults(reg *bundle.Registry, ctx *bundle.Ctx, s *xdr.Stream, rets []reflect.Value, appErr error) error {
 	hdr := ReplyHeader{}
 	if appErr != nil {
 		hdr.Status = StatusAppError
@@ -211,13 +229,6 @@ func EncodeFuncResults(reg *bundle.Registry, ctx *bundle.Ctx, s *xdr.Stream, ft 
 	}
 	if appErr != nil {
 		return nil
-	}
-	data, hasErr := FuncResults(ft)
-	if hasErr {
-		rets = rets[:len(rets)-1]
-	}
-	if len(rets) != len(data) {
-		return fmt.Errorf("rpc: upcall returns %d results, got %d", len(data), len(rets))
 	}
 	n := len(rets)
 	if err := s.Len(&n); err != nil {
@@ -231,8 +242,10 @@ func EncodeFuncResults(reg *bundle.Registry, ctx *bundle.Ctx, s *xdr.Stream, ft 
 	return nil
 }
 
-// DecodeFuncResults unbundles an upcall's reply per ft, returning the data
-// results and any application error the remote procedure reported.
+// DecodeFuncResults unbundles an upcall's reply per ft's result types
+// (read off ft one by one; a trailing error result is call status, not
+// data), returning the data results and any application error the remote
+// procedure reported.
 func DecodeFuncResults(reg *bundle.Registry, ctx *bundle.Ctx, s *xdr.Stream, ft reflect.Type) ([]reflect.Value, error, error) {
 	var hdr ReplyHeader
 	if err := hdr.Bundle(s); err != nil {
@@ -241,21 +254,23 @@ func DecodeFuncResults(reg *bundle.Registry, ctx *bundle.Ctx, s *xdr.Stream, ft 
 	if err := hdr.Err(); err != nil {
 		return nil, err, nil
 	}
-	data, _ := FuncResults(ft)
+	want := ft.NumOut()
+	if want > 0 && ft.Out(want-1) == errType {
+		want--
+	}
 	var n int
 	if err := s.Len(&n); err != nil {
 		return nil, nil, err
 	}
-	if n != len(data) {
-		return nil, nil, fmt.Errorf("rpc: upcall returns %d results, remote sent %d", len(data), n)
+	if n != want {
+		return nil, nil, fmt.Errorf("rpc: upcall returns %d results, remote sent %d", want, n)
 	}
 	rets := make([]reflect.Value, n)
-	for i := 0; i < n; i++ {
-		target := reflect.New(data[i]).Elem()
-		if err := DecodeValue(reg, ctx, s, target); err != nil {
+	for i := range rets {
+		rets[i] = reflect.New(ft.Out(i)).Elem()
+		if err := DecodeValue(reg, ctx, s, rets[i]); err != nil {
 			return nil, nil, fmt.Errorf("rpc: upcall result %d: %w", i, err)
 		}
-		rets[i] = target
 	}
 	return rets, nil, nil
 }

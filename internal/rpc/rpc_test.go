@@ -10,6 +10,7 @@ import (
 
 	"clam/internal/bundle"
 	"clam/internal/handle"
+	"clam/internal/invoke"
 	"clam/internal/xdr"
 )
 
@@ -378,8 +379,10 @@ func TestFuncArgsRoundTrip(t *testing.T) {
 	if err := EncodeFuncArgs(reg, ctx, xdr.NewEncoder(&buf), ft, args); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFuncArgs(reg, ctx, xdr.NewDecoder(&buf), ft)
-	if err != nil {
+	f := invoke.Compile(ft, 0).Frame()
+	defer f.Release()
+	got := f.Args()
+	if err := DecodeFuncArgs(reg, ctx, xdr.NewDecoder(&buf), got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0].Int() != 3 || got[1].String() != "event" || got[2].Interface().(vec).Y != 2 {
@@ -402,7 +405,7 @@ func TestFuncArgsArityChecked(t *testing.T) {
 	if err := EncodeFuncArgs(reg, ctx, xdr.NewEncoder(&buf), ft2, args); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeFuncArgs(reg, ctx, xdr.NewDecoder(&buf), ft); err == nil {
+	if err := DecodeFuncArgs(reg, ctx, xdr.NewDecoder(&buf), invoke.Compile(ft, 0).Frame().Args()); err == nil {
 		t.Error("arity mismatch not detected on decode")
 	}
 }
@@ -414,10 +417,9 @@ func TestFuncResultsRoundTrip(t *testing.T) {
 	rets := []reflect.Value{
 		reflect.ValueOf(int64(10)),
 		reflect.ValueOf("done"),
-		reflect.Zero(reflect.TypeOf((*error)(nil)).Elem()),
 	}
 	var buf bytes.Buffer
-	if err := EncodeFuncResults(reg, ctx, xdr.NewEncoder(&buf), ft, rets, nil); err != nil {
+	if err := EncodeFuncResults(reg, ctx, xdr.NewEncoder(&buf), rets, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, appErr, err := DecodeFuncResults(reg, ctx, xdr.NewDecoder(&buf), ft)
@@ -434,7 +436,7 @@ func TestFuncResultsCarryAppError(t *testing.T) {
 	ctx := &bundle.Ctx{}
 	ft := reflect.TypeOf(func() error { return nil })
 	var buf bytes.Buffer
-	if err := EncodeFuncResults(reg, ctx, xdr.NewEncoder(&buf), ft, nil, errors.New("handler failed")); err != nil {
+	if err := EncodeFuncResults(reg, ctx, xdr.NewEncoder(&buf), nil, errors.New("handler failed")); err != nil {
 		t.Fatal(err)
 	}
 	_, appErr, err := DecodeFuncResults(reg, ctx, xdr.NewDecoder(&buf), ft)

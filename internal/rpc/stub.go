@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 
 	"clam/internal/bundle"
+	"clam/internal/invoke"
 	"clam/internal/xdr"
 )
 
@@ -26,11 +28,44 @@ var (
 // ClassStubs holds the compiled method stubs for one class type.
 type ClassStubs struct {
 	// Type is the instance type the stubs dispatch on (pointer to struct).
-	Type    reflect.Type
+	Type reflect.Type
+	// Class is the class's registered name, set by whoever loads the stubs;
+	// it labels the per-method call counts and fault reports.
+	Class   string
 	methods map[string]*MethodStub
 	// skipped records methods that could not be compiled and why, so a
 	// remote call to one produces a useful error.
 	skipped map[string]error
+	// retired marks the stubs of an unloaded class. A handle-table entry
+	// caches its class's stubs so that a call resolves in one lookup; the
+	// flag is how that cache learns the class is gone.
+	retired atomic.Bool
+}
+
+// Retire marks the class unloaded: objects that still name these stubs
+// stop dispatching.
+func (cs *ClassStubs) Retire() { cs.retired.Store(true) }
+
+// Retired reports whether the class has been unloaded.
+func (cs *ClassStubs) Retired() bool { return cs.retired.Load() }
+
+// Lookup is Method for a name still in wire form: the dispatcher passes a
+// view into the frame body, and no string is built unless the lookup fails.
+func (cs *ClassStubs) Lookup(name []byte) (*MethodStub, error) {
+	if m, ok := cs.methods[string(name)]; ok {
+		return m, nil
+	}
+	return cs.Method(string(name))
+}
+
+// AddCalls adds every method's dispatch count into counts, keyed
+// "Class.Method"; methods never called are left out.
+func (cs *ClassStubs) AddCalls(counts map[string]uint64) {
+	for name, m := range cs.methods {
+		if n := m.Calls.Load(); n != 0 {
+			counts[cs.Class+"."+name] += n
+		}
+	}
 }
 
 // Method returns the stub for name.
@@ -73,11 +108,17 @@ type ArgStub struct {
 type MethodStub struct {
 	Name string
 	fn   reflect.Value // method func; first arg is the receiver
+	// plan owns the pooled argument frames (invoke's package comment has
+	// their lifetime rule); its lead slots are the receiver and, for
+	// TakesCtx methods, the injected context.
+	plan *invoke.Plan
 	Args []ArgStub
 	// Rets excludes a trailing error result, which travels as call status.
 	Rets   []ArgStub
 	HasErr bool
-	recvT  reflect.Type
+	// Calls counts dispatches of the method, all outcomes; the dispatcher
+	// adds to it once the arguments are decoded.
+	Calls atomic.Uint64
 	// Asyncable methods have no results and no out-parameters, so they
 	// can be batched without a reply (§3.4: "when no return values are
 	// needed, the remote call can be delayed, and put in a batch").
@@ -114,7 +155,7 @@ func CompileClass(reg *bundle.Registry, t reflect.Type, specs map[string]bundle.
 		if s, ok := specs[m.Name]; ok {
 			spec = &s
 		}
-		stub, err := compileMethod(reg, t, m, spec)
+		stub, err := compileMethod(reg, m, spec)
 		if err != nil {
 			cs.skipped[m.Name] = err
 			continue
@@ -124,15 +165,16 @@ func CompileClass(reg *bundle.Registry, t reflect.Type, specs map[string]bundle.
 	return cs, nil
 }
 
-func compileMethod(reg *bundle.Registry, recvT reflect.Type, m reflect.Method, spec *bundle.MethodSpec) (*MethodStub, error) {
+func compileMethod(reg *bundle.Registry, m reflect.Method, spec *bundle.MethodSpec) (*MethodStub, error) {
 	mt := m.Func.Type()
-	stub := &MethodStub{Name: m.Name, fn: m.Func, recvT: recvT}
+	stub := &MethodStub{Name: m.Name, fn: m.Func}
 
 	first := 1 // 0 is the receiver
 	if mt.NumIn() > 1 && mt.In(1) == ctxType {
 		stub.TakesCtx = true
 		first = 2
 	}
+	stub.plan = invoke.Compile(mt, first)
 	for i := first; i < mt.NumIn(); i++ {
 		pt := mt.In(i)
 		ps := spec.Param(i - first)
@@ -218,31 +260,43 @@ func (a *ArgStub) liveKind(ctx *bundle.Ctx) Kind {
 	return a.Kind
 }
 
-// DecodeArgs unbundles a call's arguments per the stub, returning values
-// ready to pass to Invoke. Out-mode pointer parameters that arrive nil are
-// allocated so the procedure always has somewhere to store its result.
-func (st *MethodStub) DecodeArgs(ctx *bundle.Ctx, s *xdr.Stream) ([]reflect.Value, error) {
+// Frame takes a pooled argument frame for one call of the method. The
+// caller releases it once the reply is encoded.
+func (st *MethodStub) Frame() *invoke.Frame { return st.plan.Frame() }
+
+// DecodeInto unbundles a call's arguments per the stub into f's cells.
+// Out-mode pointer parameters that arrive nil are allocated so the
+// procedure always has somewhere to store its result.
+func (st *MethodStub) DecodeInto(ctx *bundle.Ctx, s *xdr.Stream, f *invoke.Frame) error {
 	var argc int
 	if err := s.Len(&argc); err != nil {
-		return nil, err
+		return err
 	}
 	if argc != len(st.Args) {
-		return nil, fmt.Errorf("rpc: %s takes %d parameters, caller sent %d",
+		return fmt.Errorf("rpc: %s takes %d parameters, caller sent %d",
 			st.Name, len(st.Args), argc)
 	}
-	args := make([]reflect.Value, len(st.Args))
-	for i := range st.Args {
+	for i, target := range f.Args() {
 		a := &st.Args[i]
-		target := reflect.New(a.Type).Elem()
 		if err := DecodeValueWith(ctx, s, target, a.Fn, a.liveKind(ctx)); err != nil {
-			return nil, fmt.Errorf("rpc: %s parameter %d: %w", st.Name, i, err)
+			return fmt.Errorf("rpc: %s parameter %d: %w", st.Name, i, err)
 		}
 		if a.Mode == bundle.Out && a.Type.Kind() == reflect.Ptr && target.IsNil() {
 			target.Set(reflect.New(a.Type.Elem()))
 		}
-		args[i] = target
 	}
-	return args, nil
+	return nil
+}
+
+// DecodeArgs is DecodeInto for a caller that keeps the values: they sit in
+// a frame of their own that is never released.
+func (st *MethodStub) DecodeArgs(ctx *bundle.Ctx, s *xdr.Stream) ([]reflect.Value, error) {
+	f := st.plan.Frame()
+	if err := st.DecodeInto(ctx, s, f); err != nil {
+		f.Release()
+		return nil, err
+	}
+	return f.Args(), nil
 }
 
 // EncodeArgs bundles a call's arguments per the stub — used for local
@@ -268,43 +322,44 @@ func (st *MethodStub) EncodeArgs(ctx *bundle.Ctx, s *xdr.Stream, args []reflect.
 	return nil
 }
 
-// Invoke calls the procedure on recv with args, separating a trailing
-// error result from the data results. ctx is injected as the first
-// parameter of TakesCtx methods and ignored otherwise; a nil ctx means
-// no deadline (context.Background is injected).
+// Call invokes the procedure on recv with the arguments in f, separating a
+// trailing error result from the data results. ctx is injected as the
+// first parameter of TakesCtx methods and ignored otherwise; a nil ctx
+// means no deadline (context.Background is injected).
+func (st *MethodStub) Call(ctx context.Context, recv reflect.Value, f *invoke.Frame) (rets []reflect.Value, appErr error) {
+	if !st.TakesCtx {
+		return f.Call(st.fn, recv)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return f.Call(st.fn, recv, reflect.ValueOf(ctx))
+}
+
+// Invoke is Call for arguments the caller holds as values.
 func (st *MethodStub) Invoke(ctx context.Context, recv reflect.Value, args []reflect.Value) (rets []reflect.Value, appErr error) {
-	n := len(args) + 1
-	if st.TakesCtx {
-		n++
-	}
-	in := make([]reflect.Value, 0, n)
-	in = append(in, recv)
-	if st.TakesCtx {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		in = append(in, reflect.ValueOf(ctx))
-	}
-	in = append(in, args...)
-	out := st.fn.Call(in)
-	if st.HasErr {
-		if e := out[len(out)-1]; !e.IsNil() {
-			appErr = e.Interface().(error)
-		}
-		out = out[:len(out)-1]
-	}
-	return out, appErr
+	f := st.plan.Frame()
+	defer f.Release()
+	f.Set(args)
+	return st.Call(ctx, recv, f)
 }
 
 // EncodeReplyPayload bundles the out-parameters and results of a completed
 // call: a count of out-parameters with their positions, then the results.
 func (st *MethodStub) EncodeReplyPayload(ctx *bundle.Ctx, s *xdr.Stream, args, rets []reflect.Value) error {
-	outs := st.outParams(ctx)
-	n := len(outs)
+	n := 0
+	for i := range st.Args {
+		if st.travelsBack(ctx, i) {
+			n++
+		}
+	}
 	if err := s.Len(&n); err != nil {
 		return err
 	}
-	for _, i := range outs {
+	for i := range st.Args {
+		if !st.travelsBack(ctx, i) {
+			continue
+		}
 		idx := uint32(i)
 		if err := s.Uint32(&idx); err != nil {
 			return err
@@ -345,22 +400,13 @@ func (st *MethodStub) EncodeReplyPayload(ctx *bundle.Ctx, s *xdr.Stream, args, r
 	return nil
 }
 
-// outParams lists the indices of parameters whose pointees travel back.
-// Object handles and procedure descriptors never travel back as data, so
-// they are excluded even when their declared mode is InOut.
-func (st *MethodStub) outParams(ctx *bundle.Ctx) []int {
-	var outs []int
-	for i := range st.Args {
-		a := &st.Args[i]
-		if a.Type.Kind() != reflect.Ptr || a.ElemFn == nil {
-			continue
-		}
-		if a.liveKind(ctx) == KindHandle {
-			continue
-		}
-		if a.Mode == bundle.Out || a.Mode == bundle.InOut {
-			outs = append(outs, i)
-		}
+// travelsBack reports whether parameter i's pointee is shipped back in the
+// reply. Object handles and procedure descriptors never travel back as
+// data, so they are excluded even when their declared mode is InOut.
+func (st *MethodStub) travelsBack(ctx *bundle.Ctx, i int) bool {
+	a := &st.Args[i]
+	if a.Type.Kind() != reflect.Ptr || a.ElemFn == nil || a.liveKind(ctx) == KindHandle {
+		return false
 	}
-	return outs
+	return a.Mode == bundle.Out || a.Mode == bundle.InOut
 }

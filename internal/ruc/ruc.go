@@ -122,31 +122,32 @@ func (t *Table) Bind(procID uint64, ft reflect.Type, c Caller) (*Entry, reflect.
 	t.entries[e.ID] = e
 	t.mu.Unlock()
 
-	nOut := ft.NumOut()
-	hasErr := nOut > 0 && ft.Out(nOut-1) == errType
+	// What the proxy needs of the procedure's type is worked out here, once
+	// per binding: a zero value for every result, the error slot included.
+	zeros := make([]reflect.Value, ft.NumOut())
+	for i := range zeros {
+		zeros[i] = reflect.Zero(ft.Out(i))
+	}
+	hasErr := len(zeros) > 0 && ft.Out(len(zeros)-1) == errType
 
 	proxy := reflect.MakeFunc(ft, func(args []reflect.Value) []reflect.Value {
 		rets, err := c.Upcall(procID, ft, args)
 		e.record(err)
-		out := make([]reflect.Value, nOut)
-		if err != nil {
-			// Fill zero data results; surface the failure through the
-			// error slot when there is one, otherwise through onError.
-			for i := 0; i < nOut; i++ {
-				out[i] = reflect.Zero(ft.Out(i))
-			}
-			if hasErr {
-				out[nOut-1] = reflect.ValueOf(&err).Elem()
-			} else if t.onError != nil {
-				t.onError(e, err)
-			}
+		// reflect reads the results out of this slice after the proxy
+		// returns, so it cannot be a pooled frame's.
+		out := append([]reflect.Value(nil), zeros...)
+		if err == nil {
+			copy(out, rets)
 			return out
 		}
-		for i := 0; i < len(rets) && i < nOut; i++ {
-			out[i] = rets[i]
-		}
-		for i := len(rets); i < nOut; i++ {
-			out[i] = reflect.Zero(ft.Out(i))
+		// Zero data results; the failure surfaces through the error slot
+		// when there is one, otherwise through onError. The copy keeps err
+		// itself off the heap on the success path.
+		if hasErr {
+			failure := err
+			out[len(out)-1] = reflect.ValueOf(&failure).Elem()
+		} else if t.onError != nil {
+			t.onError(e, err)
 		}
 		return out
 	})

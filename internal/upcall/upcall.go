@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+
+	"clam/internal/invoke"
 )
 
 // Policy says what a lower-level object does with an event no higher layer
@@ -73,6 +75,9 @@ type Event struct {
 type registration struct {
 	id uint64
 	fn reflect.Value
+	// plan is compiled from fn's type at registration; its pooled frames
+	// carry each delivery's arguments.
+	plan *invoke.Plan
 }
 
 // Registry stores upcall registrations for one lower-level object. The
@@ -129,7 +134,7 @@ func (r *Registry) Register(event string, fn any) (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextID++
-	r.slots[event] = append(r.slots[event], registration{id: r.nextID, fn: v})
+	r.slots[event] = append(r.slots[event], registration{id: r.nextID, fn: v, plan: invoke.Compile(v.Type(), 0)})
 	r.cond.Broadcast() // Block-policy posters may now deliver instead
 	return r.nextID, nil
 }
@@ -173,7 +178,7 @@ func (r *Registry) Post(event string, args ...any) (int, error) {
 			// unregister, or post further events (pass the event up to
 			// the next layer).
 			for _, g := range rc {
-				if err := call(g.fn, args); err != nil {
+				if err := g.call(args); err != nil {
 					return 0, err
 				}
 			}
@@ -231,37 +236,49 @@ func ConvertArgs(ft reflect.Type, args []any) ([]reflect.Value, error) {
 	}
 	in := make([]reflect.Value, len(args))
 	for i, a := range args {
-		av := reflect.ValueOf(a)
-		pt := ft.In(i)
-		switch {
-		case !av.IsValid():
-			in[i] = reflect.Zero(pt)
-		case av.Type() == pt:
-			in[i] = av
-		case av.Type().ConvertibleTo(pt) && compatibleKinds(av.Kind(), pt.Kind()):
-			in[i] = av.Convert(pt)
-		case av.Type().AssignableTo(pt):
-			in[i] = av
-		default:
-			return nil, fmt.Errorf("%w: argument %d is %s, want %s", ErrBadArgs, i, av.Type(), pt)
+		v, err := convertArg(ft.In(i), a, i)
+		if err != nil {
+			return nil, err
 		}
+		in[i] = v
 	}
 	return in, nil
 }
 
-func call(fn reflect.Value, args []any) error {
-	in, err := ConvertArgs(fn.Type(), args)
-	if err != nil {
-		return err
+// convertArg converts argument i to parameter type pt.
+func convertArg(pt reflect.Type, a any, i int) (reflect.Value, error) {
+	av := reflect.ValueOf(a)
+	switch {
+	case !av.IsValid():
+		return reflect.Zero(pt), nil
+	case av.Type() == pt:
+		return av, nil
+	case av.Type().ConvertibleTo(pt) && compatibleKinds(av.Kind(), pt.Kind()):
+		return av.Convert(pt), nil
+	case av.Type().AssignableTo(pt):
+		return av, nil
 	}
-	out := fn.Call(in)
-	// A trailing error result propagates to the poster.
-	if n := len(out); n > 0 {
-		if e, ok := out[n-1].Interface().(error); ok && e != nil {
-			return e
+	return reflect.Value{}, fmt.Errorf("%w: argument %d is %s, want %s", ErrBadArgs, i, av.Type(), pt)
+}
+
+// call delivers one event to the registered procedure: the arguments are
+// converted straight into the cells of a pooled frame. A trailing error
+// result propagates to the poster.
+func (g registration) call(args []any) error {
+	f := g.plan.Frame()
+	defer f.Release()
+	if len(args) != len(f.Args()) {
+		return fmt.Errorf("%w: takes %d, got %d", ErrBadArgs, len(f.Args()), len(args))
+	}
+	for i, cell := range f.Args() {
+		v, err := convertArg(cell.Type(), args[i], i)
+		if err != nil {
+			return err
 		}
+		cell.Set(v)
 	}
-	return nil
+	_, err := f.Call(g.fn)
+	return err
 }
 
 // compatibleKinds permits numeric width conversions but not cross-family

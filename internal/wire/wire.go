@@ -554,6 +554,11 @@ func VecStats() (flushes, frames uint64) {
 type vecWriter struct {
 	w    io.Writer
 	bufs net.Buffers
+	// out is the copy of bufs that WriteTo consumes. WriteTo has a pointer
+	// receiver and hands the pointer to the socket through an interface, so
+	// a local copy would be allocated on every flush; this one lives in the
+	// writer.
+	out net.Buffers
 	// arena is the current copy chunk (len = used). tail tracks the iovec
 	// that is the growing end of arena so consecutive copies extend it
 	// instead of adding entries; tailIdx is -1 when the last iovec is a
@@ -622,8 +627,9 @@ func (v *vecWriter) flush() error {
 	if len(v.bufs) == 0 {
 		return nil
 	}
-	bufs := v.bufs
-	_, err := bufs.WriteTo(v.w)
+	v.out = v.bufs
+	_, err := v.out.WriteTo(v.w)
+	v.out = nil
 	vecFlushes.Add(1)
 	vecFrames.Add(uint64(v.frames))
 	v.reset()

@@ -83,8 +83,22 @@ func (r *Reader) Remaining() int { return len(r.b) - r.i }
 
 // ResetEncode rearms s as an encoder writing to w, clearing the sticky
 // error and the byte counters. It makes the zero Stream usable, so a
-// long-lived workspace can hold a Stream by value.
-func (s *Stream) ResetEncode(w io.Writer) { *s = Stream{op: Encode, w: w} }
+// long-lived workspace can hold a Stream by value. A *Buffer is written in
+// place; any other writer gets the draining adapter.
+func (s *Stream) ResetEncode(w io.Writer) {
+	if b, ok := w.(*Buffer); ok {
+		*s = Stream{op: Encode, buf: b}
+		return
+	}
+	*s = Stream{op: Encode, buf: new(Buffer), w: w}
+}
 
-// ResetDecode rearms s as a decoder reading from r.
-func (s *Stream) ResetDecode(r io.Reader) { *s = Stream{op: Decode, r: r} }
+// ResetDecode rearms s as a decoder reading from r. A *Reader is read in
+// place; any other reader gets the filling adapter.
+func (s *Stream) ResetDecode(r io.Reader) {
+	if rd, ok := r.(*Reader); ok {
+		*s = Stream{op: Decode, rd: rd}
+		return
+	}
+	*s = Stream{op: Decode, rd: new(Reader), r: r}
+}

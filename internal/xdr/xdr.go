@@ -15,6 +15,7 @@
 package xdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -84,17 +85,27 @@ var (
 )
 
 // Stream is a bidirectional XDR filter stream. The zero value is not usable;
-// construct one with NewEncoder or NewDecoder.
+// construct one with NewEncoder or NewDecoder, or rearm one with
+// ResetEncode or ResetDecode.
+//
+// A Stream encodes into a *Buffer and decodes from a *Reader, touching
+// their bytes directly by slice index: a word costs one append or one
+// bounds check, not a call through an io interface. Handed any other
+// io.Writer or io.Reader it works as an adapter over the same code — a
+// private Buffer is drained into the writer after every filter call, a
+// private Reader is filled from the reader before every take — so the
+// filters exist once.
 //
 // Errors are sticky: after the first failure every subsequent filter call
 // returns the same error and leaves its argument untouched, so a bundler may
 // chain many filter calls and check the error once at the end.
 type Stream struct {
 	op  Op
-	w   io.Writer
-	r   io.Reader
+	buf *Buffer   // encode target
+	rd  *Reader   // decode source
+	w   io.Writer // adapter mode: buf is drained here after every filter call
+	r   io.Reader // adapter mode: rd is filled from here before every take
 	err error
-	buf [8]byte
 	// nw and nr count payload bytes written and read, used by tests and by
 	// the wire layer to account for message sizes.
 	nw int
@@ -102,10 +113,18 @@ type Stream struct {
 }
 
 // NewEncoder returns a Stream that bundles values into w.
-func NewEncoder(w io.Writer) *Stream { return &Stream{op: Encode, w: w} }
+func NewEncoder(w io.Writer) *Stream {
+	s := new(Stream)
+	s.ResetEncode(w)
+	return s
+}
 
 // NewDecoder returns a Stream that unbundles values from r.
-func NewDecoder(r io.Reader) *Stream { return &Stream{op: Decode, r: r} }
+func NewDecoder(r io.Reader) *Stream {
+	s := new(Stream)
+	s.ResetDecode(r)
+	return s
+}
 
 // Op reports the direction of the stream. Bundlers use it for the rare
 // asymmetric step, such as allocating space for a result while decoding
@@ -129,76 +148,101 @@ func (s *Stream) Written() int { return s.nw }
 // ReadCount returns the number of payload bytes decoded so far.
 func (s *Stream) ReadCount() int { return s.nr }
 
-func (s *Stream) write(p []byte) {
+// put appends p to the message being encoded.
+func put[T ~[]byte | ~string](s *Stream, p T) {
 	if s.err != nil {
 		return
 	}
-	if s.w == nil {
+	if s.buf == nil {
 		s.err = errNoWriter
 		return
 	}
-	n, err := s.w.Write(p)
-	s.nw += n
+	s.buf.B = append(s.buf.B, p...)
+	s.nw += len(p)
+	s.drain()
+}
+
+// drain is the encode adapter: it hands what the last filter call appended
+// to the io.Writer behind the stream. A no-op on a Buffer-backed stream.
+func (s *Stream) drain() {
+	if s.w == nil || len(s.buf.B) == 0 {
+		return
+	}
+	_, err := s.w.Write(s.buf.B)
+	s.buf.B = s.buf.B[:0]
 	if err != nil {
 		s.err = fmt.Errorf("xdr: write: %w", err)
 	}
 }
 
-func (s *Stream) read(p []byte) {
+// take returns the next n bytes of the message being decoded, as a view
+// into it, or nil once the stream has failed. Every decode goes through
+// here, so nothing is ever read past the end of the body.
+func (s *Stream) take(n int) []byte {
 	if s.err != nil {
-		return
+		return nil
 	}
-	if s.r == nil {
+	rd := s.rd
+	if rd == nil {
 		s.err = errNoReader
-		return
+		return nil
 	}
-	n, err := io.ReadFull(s.r, p)
+	if s.r != nil {
+		// Decode adapter: stage exactly the bytes this take needs.
+		if cap(rd.b) < n {
+			rd.b = make([]byte, n)
+		}
+		rd.b, rd.i = rd.b[:n], 0
+		if m, err := io.ReadFull(s.r, rd.b); err != nil {
+			s.nr += m
+			s.err = fmt.Errorf("xdr: read: %w", err)
+			return nil
+		}
+	}
+	if n > len(rd.b)-rd.i {
+		s.err = fmt.Errorf("xdr: read: %w", ErrExhausted)
+		return nil
+	}
+	p := rd.b[rd.i : rd.i+n : rd.i+n]
+	rd.i += n
 	s.nr += n
-	if err != nil {
-		s.err = fmt.Errorf("xdr: read: %w", err)
-	}
+	return p
+}
+
+// badOp records a filter call on a stream that was never armed.
+func (s *Stream) badOp() {
+	s.SetErr(fmt.Errorf("xdr: invalid op %d", int(s.op)))
 }
 
 // word transfers one four-byte big-endian word.
 func (s *Stream) word(v *uint32) {
-	b := s.buf[:4]
 	switch s.op {
 	case Encode:
-		b[0] = byte(*v >> 24)
-		b[1] = byte(*v >> 16)
-		b[2] = byte(*v >> 8)
-		b[3] = byte(*v)
-		s.write(b)
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], *v)
+		put(s, b[:])
 	case Decode:
-		s.read(b)
-		if s.err == nil {
-			*v = uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+		if b := s.take(4); b != nil {
+			*v = binary.BigEndian.Uint32(b)
 		}
 	default:
-		s.SetErr(fmt.Errorf("xdr: invalid op %d", int(s.op)))
+		s.badOp()
 	}
 }
 
 // dword transfers one eight-byte big-endian doubleword (XDR hyper).
 func (s *Stream) dword(v *uint64) {
-	b := s.buf[:8]
 	switch s.op {
 	case Encode:
-		for i := 0; i < 8; i++ {
-			b[i] = byte(*v >> (56 - 8*i))
-		}
-		s.write(b)
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], *v)
+		put(s, b[:])
 	case Decode:
-		s.read(b)
-		if s.err == nil {
-			var x uint64
-			for i := 0; i < 8; i++ {
-				x = x<<8 | uint64(b[i])
-			}
-			*v = x
+		if b := s.take(8); b != nil {
+			*v = binary.BigEndian.Uint64(b)
 		}
 	default:
-		s.SetErr(fmt.Errorf("xdr: invalid op %d", int(s.op)))
+		s.badOp()
 	}
 }
 
@@ -330,85 +374,104 @@ func (s *Stream) Float64(v *float64) error {
 // pad holds up to three zero bytes for four-byte alignment.
 var pad [4]byte
 
+// padLen is the alignment padding that follows n bytes of data.
+func padLen(n int) int { return -n & 3 }
+
 // Opaque transfers exactly len(p) raw bytes plus alignment padding. The
 // caller fixes the length on both sides, as with XDR fixed-length opaque
 // data.
 func (s *Stream) Opaque(p []byte) error {
-	n := len(p)
 	switch s.op {
 	case Encode:
-		s.write(p)
-		if r := n % 4; r != 0 {
-			s.write(pad[:4-r])
-		}
+		put(s, p)
+		put(s, pad[:padLen(len(p))])
 	case Decode:
-		s.read(p)
-		if r := n % 4; r != 0 {
-			var scratch [4]byte
-			s.read(scratch[:4-r])
+		if b := s.view(len(p)); b != nil {
+			copy(p, b)
 		}
 	default:
-		s.SetErr(fmt.Errorf("xdr: invalid op %d", int(s.op)))
+		s.badOp()
 	}
 	return s.err
+}
+
+// view takes n bytes of data and the padding that follows them, returning
+// the data as a view into the message.
+func (s *Stream) view(n int) []byte {
+	b := s.take(n + padLen(n))
+	if b == nil {
+		return nil
+	}
+	return b[:n:n]
+}
+
+// counted decodes a length word, checks it against the byte limit, and
+// returns that many bytes as a view into the message. The view is valid
+// only as long as the message body is: copy what must outlive it.
+func (s *Stream) counted() []byte {
+	var n uint32
+	s.word(&n)
+	if s.err != nil {
+		return nil
+	}
+	if int64(n) > maxBytes.Load() {
+		s.SetErr(fmt.Errorf("%w: %d bytes", ErrTooLarge, n))
+		return nil
+	}
+	return s.view(int(n))
 }
 
 // Bytes transfers a variable-length byte slice: a length word followed by
 // the data and padding. While decoding, the slice is reallocated to the
 // received length; a nil slice decodes as nil only when the length is zero.
 func (s *Stream) Bytes(p *[]byte) error {
-	n := uint32(len(*p))
-	s.word(&n)
+	if s.op != Decode {
+		n := uint32(len(*p))
+		s.word(&n)
+		return s.Opaque(*p)
+	}
+	b := s.counted()
 	if s.err != nil {
 		return s.err
 	}
-	if s.op == Decode {
-		if int64(n) > maxBytes.Load() {
-			s.SetErr(fmt.Errorf("%w: %d bytes", ErrTooLarge, n))
-			return s.err
-		}
-		if uint32(cap(*p)) >= n {
-			*p = (*p)[:n]
-		} else {
-			*p = make([]byte, n)
-		}
+	if cap(*p) >= len(b) {
+		*p = (*p)[:len(b)]
+	} else {
+		*p = make([]byte, len(b))
 	}
-	return s.Opaque(*p)
+	copy(*p, b)
+	return nil
 }
 
-// String transfers a string as a counted sequence of bytes. Encoding to a
-// writer that supports io.StringWriter (e.g. the Buffer scratch) copies
-// the string directly, without the per-call []byte conversion.
+// String transfers a string as a counted sequence of bytes, copied straight
+// from (or into) the string's storage.
 func (s *Stream) String(v *string) error {
 	switch s.op {
 	case Encode:
 		n := uint32(len(*v))
 		s.word(&n)
-		if s.err != nil {
-			return s.err
-		}
-		if sw, ok := s.w.(io.StringWriter); ok {
-			nn, err := sw.WriteString(*v)
-			s.nw += nn
-			if err != nil {
-				s.err = fmt.Errorf("xdr: write: %w", err)
-				return s.err
-			}
-			if r := len(*v) % 4; r != 0 {
-				s.write(pad[:4-r])
-			}
-		} else {
-			s.Opaque([]byte(*v))
-		}
+		put(s, *v)
+		put(s, pad[:padLen(len(*v))])
 	case Decode:
-		var b []byte
-		if s.Bytes(&b) == nil {
+		if b := s.counted(); s.err == nil {
 			*v = string(b)
 		}
 	default:
-		s.SetErr(fmt.Errorf("xdr: invalid op %d", int(s.op)))
+		s.badOp()
 	}
 	return s.err
+}
+
+// StringView decodes a string without copying it: the result is a view
+// into the message body, valid only as long as the body is. The call
+// dispatcher uses it to look a method name up (m[string(b)] does not
+// allocate) without building a string per call.
+func (s *Stream) StringView() ([]byte, error) {
+	if s.op != Decode {
+		s.SetErr(errNoReader)
+		return nil, s.err
+	}
+	return s.counted(), s.err
 }
 
 // Len transfers an element count for a counted array, enforcing MaxElems on
